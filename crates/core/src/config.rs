@@ -494,13 +494,20 @@ impl SimConfig {
     }
 
     /// Sizes the event calendar for this scenario so the engine never
-    /// reallocates mid-run. The steady-state calendar is dominated by the
-    /// per-object MA staleness watchdogs (up to one per view object), plus
-    /// in-flight transaction/update events and the arrival-source
-    /// self-scheduling; a small constant covers those.
+    /// reallocates mid-run. The calendar is dominated by MA staleness
+    /// watchdogs: one initial watchdog per view object, plus one per
+    /// install that stays pending until it fires α later (superseded
+    /// watchdogs are cancelled lazily), so about λu·α of them are live at
+    /// once. A small constant covers in-flight transaction and update
+    /// events and the arrival sources' self-scheduling.
     #[must_use]
     pub fn calendar_capacity_hint(&self) -> usize {
-        self.n_low as usize + self.n_high as usize + 256
+        let watchdogs = self
+            .staleness
+            .alpha()
+            .map_or(0.0, |alpha| (self.lambda_u * alpha).ceil());
+        let objects = f64::from(self.n_low) + f64::from(self.n_high);
+        (objects + watchdogs + 256.0).min(strip_sim::event::MAX_PENDING as f64) as usize
     }
 
     /// Validates parameter consistency.

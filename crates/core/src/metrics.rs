@@ -352,6 +352,14 @@ impl Metrics {
         }
     }
 
+    /// An update taken for an on-demand apply was discarded because its
+    /// transaction missed its deadline before the apply finished.
+    pub fn update_od_abandoned(&mut self, now: SimTime) {
+        if self.in_window(now) {
+            self.updates.od_abandoned += 1;
+        }
+    }
+
     /// Tracks high-water marks of the two queues.
     pub fn observe_queue_lengths(&mut self, os_len: usize, uq_len: usize) {
         self.updates.max_os_len = self.updates.max_os_len.max(os_len as u64);

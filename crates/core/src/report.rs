@@ -141,6 +141,10 @@ pub struct UpdateCounts {
     /// Updates on the CPU (being installed, or taken for an on-demand
     /// apply) when the horizon was reached.
     pub in_flight_at_end: u64,
+    /// Updates taken from the queue for an on-demand apply whose
+    /// transaction missed its deadline before the apply finished: the
+    /// update is discarded with the aborted transaction.
+    pub od_abandoned: u64,
 }
 
 impl UpdateCounts {
@@ -165,6 +169,7 @@ impl UpdateCounts {
             + self.left_in_os
             + self.left_in_update_queue
             + self.in_flight_at_end
+            + self.od_abandoned
     }
 }
 
@@ -535,7 +540,8 @@ impl RunReport {
              \"installed_on_demand\":{},\"superseded_skips\":{},\
              \"expired_dropped\":{},\"overflow_dropped\":{},\"dedup_dropped\":{},\
              \"admission_shed\":{},\"max_uq_len\":{},\"max_os_len\":{},\
-             \"left_in_os\":{},\"left_in_update_queue\":{},\"in_flight_at_end\":{}}},",
+             \"left_in_os\":{},\"left_in_update_queue\":{},\"in_flight_at_end\":{},\
+             \"od_abandoned\":{}}},",
             u.arrived,
             u.os_dropped,
             u.enqueued,
@@ -552,6 +558,7 @@ impl RunReport {
             u.left_in_os,
             u.left_in_update_queue,
             u.in_flight_at_end,
+            u.od_abandoned,
         ));
         let c = &self.cpu;
         out.push_str(&format!(
@@ -805,6 +812,7 @@ impl RunReport {
                     left_in_os: mu(&|r| r.updates.left_in_os),
                     left_in_update_queue: mu(&|r| r.updates.left_in_update_queue),
                     in_flight_at_end: mu(&|r| r.updates.in_flight_at_end),
+                    od_abandoned: mu(&|r| r.updates.od_abandoned),
                 };
                 u.arrived = u.terminal_total();
                 u
@@ -1007,6 +1015,7 @@ impl RunReport {
                 left_in_os: su(&|r| r.updates.left_in_os),
                 left_in_update_queue: su(&|r| r.updates.left_in_update_queue),
                 in_flight_at_end: su(&|r| r.updates.in_flight_at_end),
+                od_abandoned: su(&|r| r.updates.od_abandoned),
             },
             cpu: CpuStats {
                 busy_txn: sf(&|r| r.cpu.busy_txn),

@@ -364,6 +364,7 @@ pub fn serialize_report(r: &RunReport) -> String {
     kv("updates.left_in_os", &u.left_in_os);
     kv("updates.left_in_update_queue", &u.left_in_update_queue);
     kv("updates.in_flight_at_end", &u.in_flight_at_end);
+    kv("updates.od_abandoned", &u.od_abandoned);
     let c = &r.cpu;
     kv("cpu.busy_txn", &c.busy_txn);
     kv("cpu.busy_update", &c.busy_update);
@@ -488,6 +489,7 @@ pub fn parse_report(text: &str) -> Option<RunReport> {
     d.left_in_os = u("updates.left_in_os")?;
     d.left_in_update_queue = u("updates.left_in_update_queue")?;
     d.in_flight_at_end = u("updates.in_flight_at_end")?;
+    d.od_abandoned = u("updates.od_abandoned")?;
     let c = &mut r.cpu;
     c.busy_txn = f("cpu.busy_txn")?;
     c.busy_update = f("cpu.busy_update")?;

@@ -17,17 +17,12 @@ use strip_lint::lex::{lex, TokKind};
 use strip_lint::{relative_label, scan_targets};
 
 /// Every workspace source file allowed to contain the `unsafe` keyword:
-/// the simkit event queue (intrusive indices), the live signal latch (two
-/// raw `signal(2)` FFI registrations with an async-signal-safe handler —
-/// see `crates/live/src/signal.rs`), and the live ingest ring
-/// (single-producer/single-consumer slot handoff — see
+/// the live signal latch (two raw `signal(2)` FFI registrations with an
+/// async-signal-safe handler — see `crates/live/src/signal.rs`), and the
+/// live ingest ring (single-producer/single-consumer slot handoff — see
 /// `crates/live/src/spsc.rs` for the SAFETY arguments and DESIGN.md §13
 /// for the ordering protocol).
-const UNSAFE_ALLOWLIST: [&str; 3] = [
-    "crates/live/src/signal.rs",
-    "crates/live/src/spsc.rs",
-    "crates/simkit/src/event.rs",
-];
+const UNSAFE_ALLOWLIST: [&str; 2] = ["crates/live/src/signal.rs", "crates/live/src/spsc.rs"];
 
 #[test]
 fn unsafe_code_is_confined_to_the_allowlist() {

@@ -759,8 +759,7 @@ impl Executor {
             let id = e.item;
             if self.running.as_ref().is_some_and(|rt| rt.txn.id() == id) {
                 let rt = self.running.take().expect("running txn at deadline"); // lint: allow(live-panic, reason=guarded by the is_some_and id check above)
-                self.metrics
-                    .txn_aborted_at(&rt.txn, AbortReason::MissedDeadline, now);
+                self.abort_missed_deadline(&rt, now);
             } else if let Some(txn) = self.ready.remove(id) {
                 self.metrics
                     .txn_aborted_at(&txn, AbortReason::MissedDeadline, now);
@@ -768,6 +767,16 @@ impl Executor {
             // Otherwise the transaction already finished: stale watchdog.
         }
         self.maybe_snapshot(now);
+    }
+
+    /// Accounts for a bound transaction aborted at its deadline, and for
+    /// the on-demand update it had taken from the queue, if any.
+    fn abort_missed_deadline(&mut self, rt: &RunningTxn, now: SimTime) {
+        if rt.pending_apply.is_some() {
+            self.metrics.update_od_abandoned(now);
+        }
+        self.metrics
+            .txn_aborted_at(&rt.txn, AbortReason::MissedDeadline, now);
     }
 
     /// Hands a periodic store image to the flusher when one is due. The
@@ -1264,8 +1273,7 @@ impl Executor {
                 }
                 TxnBurn::DeadlinePassed => {
                     let rt = self.running.take().expect("running txn at deadline"); // lint: allow(live-panic, reason=guarded by the is_some_and id check above)
-                    self.metrics
-                        .txn_aborted_at(&rt.txn, AbortReason::MissedDeadline, now);
+                    self.abort_missed_deadline(&rt, now);
                     return;
                 }
             }
@@ -1733,6 +1741,57 @@ mod tests {
         tx.send(Ingest::Shutdown).expect("send shutdown");
         let report = handle.join().expect("executor thread");
         assert_eq!(report.updates.installed_total(), 1);
+    }
+
+    #[test]
+    fn od_update_cut_off_by_a_deadline_is_accounted_for() {
+        // The transaction's read finds a newer update queued; applying it
+        // on demand takes 50 ms, far past the 1 ms slack, so the deadline
+        // passes mid-apply and the update taken from the queue must still
+        // land in a terminal bucket.
+        let mut sim = SimConfig::builder()
+            .policy(Policy::OnDemand)
+            .n_low(4)
+            .n_high(4)
+            .lambda_u(0.0)
+            .lambda_t(0.0)
+            .duration(1.0)
+            .warmup(0.0)
+            .staleness(StalenessSpec::UnappliedUpdate)
+            .build()
+            .expect("valid config");
+        sim.costs.x_update = 2.5e6;
+        let cfg = LiveConfig::new(sim).expect("valid live config");
+        let (tx, rx) = mpsc::channel();
+        let exec = Executor::new(&cfg, rx);
+        // Both arrive in the executor's first drain: the prompt receive
+        // queues the update before the transaction is dispatched.
+        tx.send(Ingest::Update(wire_update(0, 1, 1_000, 1.0)))
+            .expect("send update");
+        tx.send(Ingest::Txn(WireTxn {
+            id: 1,
+            class: 0,
+            value: 1.0,
+            slack_micros: 1_000,
+            compute_micros: 100,
+            reads: vec![(0, 1)],
+        }))
+        .expect("send txn");
+        let handle = std::thread::spawn(move || exec.run());
+        for _ in 0..5_000 {
+            let (rtx, rrx) = mpsc::sync_channel(1);
+            tx.send(Ingest::Snapshot { reply: rtx })
+                .expect("send snapshot");
+            if rrx.recv().expect("snapshot answered").txns.missed_deadline == 1 {
+                break;
+            }
+            LiveClock::coarse_sleep(0.001);
+        }
+        tx.send(Ingest::Shutdown).expect("send shutdown");
+        let report = handle.join().expect("executor thread");
+        assert_eq!(report.txns.missed_deadline, 1);
+        assert_eq!(report.updates.od_abandoned, 1, "{:?}", report.updates);
+        assert_eq!(report.updates.terminal_total(), report.updates.arrived);
     }
 
     fn dag_cfg(policy: Policy) -> SimConfig {

@@ -753,7 +753,8 @@ pub fn stats_from_report(r: &RunReport) -> WireStats {
             + u.overflow_dropped
             + u.expired_dropped
             + u.dedup_dropped
-            + u.admission_shed,
+            + u.admission_shed
+            + u.od_abandoned,
         queued: u.left_in_os + u.left_in_update_queue + u.in_flight_at_end,
         txns_arrived: t.arrived,
         txns_committed: t.committed,

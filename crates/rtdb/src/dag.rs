@@ -328,14 +328,24 @@ pub struct ApplyResult {
 /// Mutable maintenance state over a [`ViewDag`]: node values, the
 /// coalesced pending-delta map, and incrementally maintained transitive
 /// staleness.
+///
+/// The pending map is dense — one slot per node plus an occupancy bitset —
+/// so a lookup is an index and the lowest pending id is a first-set-bit
+/// scan over `len / 64` words.
 #[derive(Debug, Clone)]
 pub struct DagState {
     values: Vec<f64>,
-    pending: BTreeMap<u32, PendingDelta>,
+    /// Per node: its coalesced pending delta, if any.
+    pending: Vec<Option<PendingDelta>>,
+    /// Bit `n % 64` of word `n / 64` is set iff `pending[n]` is occupied.
+    occupied: Vec<u64>,
+    pending_len: usize,
     /// Per node: how many of its *derived* inputs are currently stale.
     stale_inputs: Vec<u32>,
     stale_now: u32,
     max_pending: usize,
+    /// Work stack of the staleness cascades, kept to reuse its allocation.
+    cascade: Vec<u32>,
     /// Conservation counters.
     pub stats: DagCounters,
 }
@@ -347,10 +357,13 @@ impl DagState {
     pub fn new(dag: &ViewDag, store: &Store, max_pending: u32) -> Self {
         DagState {
             values: full_recompute(dag, store),
-            pending: BTreeMap::new(),
+            pending: vec![None; dag.len()],
+            occupied: vec![0; dag.len().div_ceil(64)],
+            pending_len: 0,
             stale_inputs: vec![0; dag.len()],
             stale_now: 0,
             max_pending: max_pending.max(1) as usize,
+            cascade: Vec::new(),
             stats: DagCounters::default(),
         }
     }
@@ -371,7 +384,7 @@ impl DagState {
     /// derived input.
     #[must_use]
     pub fn is_stale(&self, node: u32) -> bool {
-        self.pending.contains_key(&node) || self.stale_inputs[node as usize] > 0
+        self.pending[node as usize].is_some() || self.stale_inputs[node as usize] > 0
     }
 
     /// How many nodes are stale right now.
@@ -383,7 +396,7 @@ impl DagState {
     /// Number of nodes with a pending delta.
     #[must_use]
     pub fn pending_len(&self) -> usize {
-        self.pending.len()
+        self.pending_len
     }
 
     /// Lowest node id with a pending delta — the next node the rank-order
@@ -391,19 +404,25 @@ impl DagState {
     /// waiting on another pending node below it).
     #[must_use]
     pub fn next_pending(&self) -> Option<u32> {
-        self.pending.keys().next().copied()
+        let (word, bits) = self
+            .occupied
+            .iter()
+            .enumerate()
+            .find(|&(_, &bits)| bits != 0)?;
+        Some(word as u32 * 64 + bits.trailing_zeros())
     }
 
     /// The pending entry of `node`, if any.
     #[must_use]
     pub fn pending(&self, node: u32) -> Option<&PendingDelta> {
-        self.pending.get(&node)
+        self.pending.get(node as usize)?.as_ref()
     }
 
     fn flip_on(&mut self, dag: &ViewDag, node: u32) {
         // `node` just became stale: bump every dependent's stale-input
         // count, recursing into dependents that flip in turn.
-        let mut stack = vec![node];
+        let mut stack = std::mem::take(&mut self.cascade);
+        stack.push(node);
         self.stale_now += 1;
         while let Some(n) = stack.pop() {
             for &d in dag.dependents(n) {
@@ -415,11 +434,13 @@ impl DagState {
                 }
             }
         }
+        self.cascade = stack;
     }
 
     fn flip_off(&mut self, dag: &ViewDag, node: u32) {
         // `node` just became fresh: the exact inverse cascade.
-        let mut stack = vec![node];
+        let mut stack = std::mem::take(&mut self.cascade);
+        stack.push(node);
         self.stale_now -= 1;
         while let Some(n) = stack.pop() {
             for &d in dag.dependents(n) {
@@ -430,6 +451,7 @@ impl DagState {
                 }
             }
         }
+        self.cascade = stack;
     }
 
     fn enqueue(
@@ -441,26 +463,25 @@ impl DagState {
         now: SimTime,
     ) -> EnqueueOutcome {
         self.stats.enqueued += 1;
-        if let Some(p) = self.pending.get_mut(&node) {
+        if let Some(p) = &mut self.pending[node as usize] {
             p.merged += 1;
             p.magnitude += magnitude;
             self.stats.coalesced += 1;
             return EnqueueOutcome::Coalesced;
         }
-        if self.pending.len() >= self.max_pending {
+        if self.pending_len >= self.max_pending {
             self.stats.shed += 1;
             return EnqueueOutcome::Shed;
         }
         let was = self.is_stale(node);
-        self.pending.insert(
-            node,
-            PendingDelta {
-                kind,
-                merged: 1,
-                magnitude,
-                first_enqueued: now,
-            },
-        );
+        self.pending[node as usize] = Some(PendingDelta {
+            kind,
+            merged: 1,
+            magnitude,
+            first_enqueued: now,
+        });
+        self.occupied[node as usize / 64] |= 1 << (node % 64);
+        self.pending_len += 1;
         if !was {
             self.flip_on(dag, node);
         }
@@ -476,10 +497,8 @@ impl DagState {
         magnitude: f64,
         now: SimTime,
     ) -> usize {
-        // The dependent list borrows the dag, not self.
-        let deps: &[u32] = dag.base_dependents(object);
-        for i in 0..deps.len() {
-            let d = dag.base_dependents(object)[i];
+        let deps = dag.base_dependents(object);
+        for &d in deps {
             self.enqueue(dag, d, DeltaKind::Base, magnitude, now);
         }
         deps.len()
@@ -495,7 +514,9 @@ impl DagState {
         node: u32,
         now: SimTime,
     ) -> Option<ApplyResult> {
-        let entry = self.pending.remove(&node)?;
+        let entry = self.pending.get_mut(node as usize)?.take()?;
+        self.occupied[node as usize / 64] &= !(1 << (node % 64));
+        self.pending_len -= 1;
         self.stats.applied += 1;
         if self.stale_inputs[node as usize] == 0 {
             self.flip_off(dag, node);
@@ -505,8 +526,7 @@ impl DagState {
         self.values[node as usize] = new;
         let changed = new.to_bits() != old.to_bits();
         if changed {
-            for i in 0..dag.dependents(node).len() {
-                let d = dag.dependents(node)[i];
+            for &d in dag.dependents(node) {
                 self.enqueue(dag, d, DeltaKind::Cascade, new - old, now);
             }
         }
@@ -524,28 +544,7 @@ impl DagState {
     /// recursive on-demand refresh performs before answering a read.
     #[must_use]
     pub fn pending_closure(&self, dag: &ViewDag, node: u32) -> Vec<u32> {
-        use std::collections::BTreeSet;
-        let mut seen = BTreeSet::new();
-        let mut stack = vec![node];
-        let mut found = BTreeSet::new();
-        while let Some(n) = stack.pop() {
-            if !seen.insert(n) {
-                continue;
-            }
-            if self.pending.contains_key(&n) {
-                found.insert(n);
-            }
-            for input in dag.inputs(n) {
-                if let DagInput::Derived(j) = *input {
-                    // Only walk into stale subtrees — fresh ancestors have
-                    // nothing pending anywhere above them.
-                    if self.is_stale(j) {
-                        stack.push(j);
-                    }
-                }
-            }
-        }
-        found.into_iter().collect()
+        self.closure(dag, node, |n| self.pending[n as usize].is_some())
     }
 
     /// The *stale* ancestor closure of `node`, ascending (= topological)
@@ -558,16 +557,22 @@ impl DagState {
     /// pending for background propagation).
     #[must_use]
     pub fn stale_closure(&self, dag: &ViewDag, node: u32) -> Vec<u32> {
-        use std::collections::BTreeSet;
-        let mut seen = BTreeSet::new();
+        self.closure(dag, node, |n| self.is_stale(n))
+    }
+
+    /// The nodes satisfying `keep` among `node` and its ancestors reached
+    /// through stale inputs, ascending. Fresh ancestors are not walked:
+    /// nothing above them is pending.
+    fn closure(&self, dag: &ViewDag, node: u32, keep: impl Fn(u32) -> bool) -> Vec<u32> {
+        let mut seen = vec![false; dag.len()];
         let mut stack = vec![node];
-        let mut found = BTreeSet::new();
+        let mut found = Vec::new();
         while let Some(n) = stack.pop() {
-            if !seen.insert(n) {
+            if std::mem::replace(&mut seen[n as usize], true) {
                 continue;
             }
-            if self.is_stale(n) {
-                found.insert(n);
+            if keep(n) {
+                found.push(n);
             }
             for input in dag.inputs(n) {
                 if let DagInput::Derived(j) = *input {
@@ -577,7 +582,8 @@ impl DagState {
                 }
             }
         }
-        found.into_iter().collect()
+        found.sort_unstable();
+        found
     }
 }
 

@@ -108,6 +108,13 @@ impl<E> Engine<E> {
         self.now
     }
 
+    /// How many events the calendar can hold pending before it
+    /// reallocates (for diagnostics).
+    #[must_use]
+    pub fn calendar_capacity(&self) -> usize {
+        self.calendar.capacity()
+    }
+
     /// Number of events processed so far.
     #[must_use]
     pub fn events_processed(&self) -> u64 {

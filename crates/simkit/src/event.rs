@@ -7,20 +7,33 @@
 //! deadline watchdog was armed before the completion event, so at an exact
 //! tie the deadline fires first".
 //!
-//! The calendar is an indexed **four-ary min-heap** keyed on `(time, seq)`.
-//! Compared to the `std::collections::BinaryHeap` binary heap it replaces
-//! (preserved in [`reference`] as the benchmark baseline), a 4-ary heap is
-//! half as deep, so a sift-down touches half as many cache lines — the right
-//! trade for this workload, where almost every processed event schedules a
-//! follow-up and the heap is hot in every simulated second. Because
-//! `(time, seq)` is a strict total order (`seq` is unique), *any* correct
-//! heap pops the exact same sequence, so swapping the structure cannot
-//! change simulation results.
-
-use core::mem::ManuallyDrop;
-use core::ptr;
+//! The calendar is a **four-ary min-heap of packed 16-byte keys** over an
+//! **event slab**. Each key is the `u128`
+//! `time_bits << 64 | seq << 22 | slot`: the order-preserving image of the
+//! event time, a 42-bit scheduling sequence number, and the 22-bit index of
+//! the slab slot holding the payload. Sifts move only keys — a 3,000-event
+//! calendar's heap is ~48 KB, about one L1d — while each payload is
+//! written once on `schedule` and moved out once on `pop`. Vacated slots go
+//! on a LIFO free list, so the next schedule reuses the slot (and cache
+//! line) the last pop just touched.
+//!
+//! Because `seq` is unique, `(time, seq)` is a strict total order and the
+//! slot bits never decide a comparison: *any* correct heap over these keys
+//! pops the exact sequence the seed `BinaryHeap` calendar (preserved in
+//! [`reference`] as the benchmark baseline and proptest oracle) pops, so
+//! the layout cannot change simulation results. A 4-ary heap is half as
+//! deep as a binary one, so a sift-down touches half as many cache lines.
 
 use crate::time::SimTime;
+
+/// Bits of a key that name the payload's slab slot.
+const SLOT_BITS: u32 = 22;
+
+/// Most events that may be pending at once (slab slots).
+pub const MAX_PENDING: usize = 1 << SLOT_BITS;
+
+/// Most events one calendar may ever schedule (the `seq` field's range).
+pub const MAX_SCHEDULED: u64 = 1 << (64 - SLOT_BITS);
 
 /// Order-preserving bijection from the `f64` total order to the `u64`
 /// order: the same sign-flip trick `f64::total_cmp` performs on *every*
@@ -42,114 +55,37 @@ fn bits_to_secs(bits: u64) -> f64 {
     f64::from_bits((m ^ (((m >> 63) as u64) >> 1) as i64) as u64)
 }
 
-/// An entry in the calendar, keyed by the packed `u128`
-/// `time_bits << 64 | seq`: the earliest time pops first and the sequence
-/// number breaks ties in scheduling order. Packing the whole key into one
-/// integer makes every heap comparison a single branch (or a conditional
-/// move inside the child tournament).
-struct Entry<E> {
-    key: u128,
-    event: E,
+#[inline]
+fn key_time(key: u128) -> SimTime {
+    SimTime::from_secs(bits_to_secs((key >> 64) as u64))
 }
 
-impl<E> Entry<E> {
-    #[inline]
-    fn time(&self) -> SimTime {
-        SimTime::from_secs(bits_to_secs((self.key >> 64) as u64))
-    }
+#[inline]
+fn key_slot(key: u128) -> usize {
+    (key as usize) & (MAX_PENDING - 1)
 }
 
 /// Heap arity: each node has up to four children.
 const ARITY: usize = 4;
 
-/// A hole in the heap slice during a sift: the displaced element is held
-/// outside the slice, each level costs one move instead of a three-move
-/// swap, and the element is written back exactly once on drop. This is the
-/// same technique `std::collections::BinaryHeap` uses internally.
-///
-/// Invariant: `pos` is in bounds and the slot at `pos` is logically empty —
-/// reads go through [`Hole::get`] with an index different from `pos`.
-struct Hole<'a, T> {
-    data: &'a mut [T],
-    elt: ManuallyDrop<T>,
-    pos: usize,
-}
+/// End of the free-slot list.
+const NIL: u32 = u32::MAX;
 
-impl<'a, T> Hole<'a, T> {
-    /// Opens a hole at `pos`.
-    ///
-    /// # Safety
-    /// `pos` must be in bounds of `data`.
-    unsafe fn new(data: &'a mut [T], pos: usize) -> Self {
-        debug_assert!(pos < data.len());
-        // SAFETY: caller guarantees `pos` is in bounds; the slot is treated
-        // as empty until drop writes `elt` back.
-        let elt = unsafe { ptr::read(data.get_unchecked(pos)) };
-        Hole {
-            data,
-            elt: ManuallyDrop::new(elt),
-            pos,
-        }
-    }
-
-    /// The element removed from the hole.
-    #[inline]
-    fn element(&self) -> &T {
-        &self.elt
-    }
-
-    /// Reads the element at `index`.
-    ///
-    /// # Safety
-    /// `index` must be in bounds and different from the hole position.
-    #[inline]
-    unsafe fn get(&self, index: usize) -> &T {
-        debug_assert!(index != self.pos && index < self.data.len());
-        // SAFETY: caller guarantees the index is in bounds and occupied.
-        unsafe { self.data.get_unchecked(index) }
-    }
-
-    /// Reads the element at `index` through the normal bounds check. The
-    /// cold partial-last-level scan is not performance-critical, so it
-    /// pays the checked access and carries no safety contract.
-    #[inline]
-    fn get_checked(&self, index: usize) -> &T {
-        debug_assert!(index != self.pos);
-        &self.data[index]
-    }
-
-    /// Moves the element at `index` into the hole; the hole moves to `index`.
-    ///
-    /// # Safety
-    /// `index` must be in bounds and different from the hole position.
-    #[inline]
-    unsafe fn move_to(&mut self, index: usize) {
-        debug_assert!(index != self.pos && index < self.data.len());
-        // SAFETY: source and destination are distinct in-bounds slots.
-        unsafe {
-            let ptr = self.data.as_mut_ptr();
-            ptr::copy_nonoverlapping(ptr.add(index), ptr.add(self.pos), 1);
-        }
-        self.pos = index;
-    }
-}
-
-impl<T> Drop for Hole<'_, T> {
-    fn drop(&mut self) {
-        // Fill the hole with the held element.
-        // SAFETY: `pos` is in bounds and its slot is logically empty.
-        unsafe {
-            let pos = self.pos;
-            ptr::copy_nonoverlapping(&*self.elt, self.data.get_unchecked_mut(pos), 1);
-        }
-    }
+/// One slab slot: a pending event, or a link in the free-slot list.
+enum Slot<E> {
+    Full(E),
+    Free { next: u32 },
 }
 
 /// A future-event list holding events of type `E`.
 pub struct EventQueue<E> {
-    entries: Vec<Entry<E>>,
+    /// Four-ary min-heap of packed keys.
+    heap: Vec<u128>,
+    /// Payloads, indexed by the slot bits of their key.
+    slab: Vec<Slot<E>>,
+    /// Head of the list of vacated slots, reused last-in first-out.
+    free: u32,
     next_seq: u64,
-    scheduled: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -162,159 +98,171 @@ impl<E> EventQueue<E> {
     /// Creates an empty calendar.
     #[must_use]
     pub fn new() -> Self {
-        EventQueue {
-            entries: Vec::new(),
-            next_seq: 0,
-            scheduled: 0,
-        }
+        Self::with_capacity(0)
     }
 
-    /// Creates an empty calendar with room for `cap` events, so a run with
-    /// a known population (e.g. one watchdog per view object) never
-    /// reallocates.
+    /// Creates an empty calendar with room for `cap` pending events, so a
+    /// run with a known population (e.g. one watchdog per view object)
+    /// never reallocates.
     #[must_use]
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
-            entries: Vec::with_capacity(cap),
+            heap: Vec::with_capacity(cap),
+            slab: Vec::with_capacity(cap),
+            free: NIL,
             next_seq: 0,
-            scheduled: 0,
         }
     }
 
     /// Schedules `event` to fire at `time`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`MAX_PENDING`] events are already pending, or if this
+    /// calendar has already scheduled [`MAX_SCHEDULED`] events.
     pub fn schedule(&mut self, time: SimTime, event: E) {
         let seq = self.next_seq;
+        assert!(
+            seq < MAX_SCHEDULED,
+            "event calendar: more than 2^42 events scheduled"
+        );
         self.next_seq += 1;
-        self.scheduled += 1;
-        self.entries.push(Entry {
-            key: (u128::from(secs_to_bits(time.as_secs())) << 64) | u128::from(seq),
-            event,
-        });
-        self.sift_up(self.entries.len() - 1);
+        let slot = if self.free == NIL {
+            assert!(
+                self.slab.len() < MAX_PENDING,
+                "event calendar: more than 2^22 events pending"
+            );
+            self.slab.push(Slot::Full(event));
+            self.slab.len() - 1
+        } else {
+            let slot = self.free as usize;
+            match std::mem::replace(&mut self.slab[slot], Slot::Full(event)) {
+                Slot::Free { next } => self.free = next,
+                Slot::Full(_) => unreachable!("the free list names an occupied slot"),
+            }
+            slot
+        };
+        let key = (u128::from(secs_to_bits(time.as_secs())) << 64)
+            | u128::from(seq << SLOT_BITS)
+            | slot as u128;
+        self.heap.push(key);
+        self.sift_up(self.heap.len() - 1, key);
     }
 
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let mut entry = self.entries.pop()?;
-        if !self.entries.is_empty() {
-            core::mem::swap(&mut entry, &mut self.entries[0]);
-            self.sift_down_to_bottom(0);
-        }
-        Some((entry.time(), entry.event))
+        let last = self.heap.pop()?;
+        let key = match self.heap.first().copied() {
+            Some(root) => {
+                self.sift_down_to_bottom(last);
+                root
+            }
+            None => last,
+        };
+        let slot = key_slot(key);
+        let vacated = Slot::Free { next: self.free };
+        let Slot::Full(event) = std::mem::replace(&mut self.slab[slot], vacated) else {
+            unreachable!("a pending key names a free slot")
+        };
+        self.free = slot as u32;
+        Some((key_time(key), event))
     }
 
     /// The time of the earliest pending event, if any.
     #[must_use]
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.entries.first().map(Entry::time)
+        self.heap.first().map(|&key| key_time(key))
     }
 
     /// Number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.heap.len()
     }
 
     /// True when no events are pending.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.heap.is_empty()
     }
 
     /// Total number of events ever scheduled (for diagnostics).
     #[must_use]
     pub fn total_scheduled(&self) -> u64 {
-        self.scheduled
+        self.next_seq
     }
 
-    /// Allocated capacity of the backing storage (for diagnostics).
+    /// How many events can be pending before the calendar reallocates
+    /// (for diagnostics).
     #[must_use]
     pub fn capacity(&self) -> usize {
-        self.entries.capacity()
+        self.heap.capacity().min(self.slab.capacity())
     }
 
-    fn sift_up(&mut self, pos: usize) {
-        // SAFETY: callers pass an in-bounds index (the just-pushed slot);
-        // parent indices of in-bounds nodes are in bounds and never equal
-        // the hole position.
-        unsafe {
-            let mut hole = Hole::new(&mut self.entries, pos);
-            while hole.pos > 0 {
-                let parent = (hole.pos - 1) / ARITY;
-                if hole.get(parent).key <= hole.element().key {
-                    break;
-                }
-                hole.move_to(parent);
+    /// Fills the hole at `pos` with `key`, after moving each ancestor
+    /// larger than `key` one level down (the hole climbs past it).
+    fn sift_up(&mut self, mut pos: usize, key: u128) {
+        let heap = &mut self.heap[..];
+        while pos > 0 {
+            let parent = (pos - 1) / ARITY;
+            if heap[parent] <= key {
+                break;
             }
+            heap[pos] = heap[parent];
+            pos = parent;
         }
+        heap[pos] = key;
     }
 
-    /// Restores the heap after a pop replaced the root with the (former)
-    /// last element: the hole is driven straight to a leaf along the
-    /// smallest-child path — *without* comparing the displaced element at
-    /// each level — and the element is then bubbled back up from there.
-    /// Because the displaced element came from the bottom of the heap, it
-    /// almost always belongs near a leaf, so skipping the per-level element
-    /// comparison saves a quarter of the comparisons on the hot pop path
-    /// (the same "bounce" strategy `BinaryHeap::pop` uses).
-    fn sift_down_to_bottom(&mut self, pos: usize) {
-        let n = self.entries.len();
-        // SAFETY: callers pass an in-bounds index; child indices are checked
-        // against `n` before use and are strictly greater than the hole
-        // position, and the bubble-up phase only revisits ancestors of the
-        // leaf the hole reached.
-        unsafe {
-            let mut hole = Hole::new(&mut self.entries, pos);
-            loop {
-                let first = hole.pos * ARITY + 1;
-                if first + ARITY <= n {
-                    // All four children exist (the common case everywhere
-                    // above the last level): a balanced tournament, which
-                    // the optimiser lowers to conditional moves instead of
-                    // a chain of mispredictable branches.
-                    let k0 = hole.get(first).key;
-                    let k1 = hole.get(first + 1).key;
-                    let k2 = hole.get(first + 2).key;
-                    let k3 = hole.get(first + 3).key;
-                    let (ia, ka) = if k1 < k0 {
-                        (first + 1, k1)
-                    } else {
-                        (first, k0)
-                    };
-                    let (ib, kb) = if k3 < k2 {
-                        (first + 3, k3)
-                    } else {
-                        (first + 2, k2)
-                    };
-                    hole.move_to(if kb < ka { ib } else { ia });
+    /// Restores the heap after a pop took the root and `key` (the former
+    /// last element) must fill its place: the hole is driven straight to a
+    /// leaf along the smallest-child path — *without* comparing `key` at
+    /// each level — and `key` is then bubbled back up from there. Because
+    /// `key` came from the bottom of the heap, it almost always belongs
+    /// near a leaf, so skipping the per-level comparison saves a quarter
+    /// of the comparisons on the hot pop path (the same "bounce" strategy
+    /// `BinaryHeap::pop` uses).
+    fn sift_down_to_bottom(&mut self, key: u128) {
+        let heap = &mut self.heap[..];
+        let n = heap.len();
+        let mut pos = 0;
+        loop {
+            let first = pos * ARITY + 1;
+            if first + ARITY <= n {
+                // All four children exist (the common case everywhere
+                // above the last level): a balanced tournament, which the
+                // optimiser lowers to conditional moves instead of a chain
+                // of mispredictable branches.
+                let kids = &heap[first..first + ARITY];
+                let (ia, ka) = if kids[1] < kids[0] {
+                    (1, kids[1])
                 } else {
-                    if first >= n {
-                        break;
-                    }
-                    // Partial last level: linear scan over the 1–3 leaves,
-                    // through the safe checked accessor — this runs at most
-                    // once per pop, so the bounds checks are free noise.
+                    (0, kids[0])
+                };
+                let (ib, kb) = if kids[3] < kids[2] {
+                    (3, kids[3])
+                } else {
+                    (2, kids[2])
+                };
+                let (i, k) = if kb < ka { (ib, kb) } else { (ia, ka) };
+                heap[pos] = k;
+                pos = first + i;
+            } else {
+                // Partial last level: the smallest of the 0–3 leaves.
+                if first < n {
                     let mut best = first;
-                    let mut best_key = hole.get_checked(first).key;
                     for c in first + 1..n {
-                        let key = hole.get_checked(c).key;
-                        if key < best_key {
+                        if heap[c] < heap[best] {
                             best = c;
-                            best_key = key;
                         }
                     }
-                    hole.move_to(best);
-                    break;
+                    heap[pos] = heap[best];
+                    pos = best;
                 }
-            }
-            while hole.pos > pos {
-                let parent = (hole.pos - 1) / ARITY;
-                if hole.get(parent).key <= hole.element().key {
-                    break;
-                }
-                hole.move_to(parent);
+                break;
             }
         }
+        self.sift_up(pos, key);
     }
 }
 
@@ -484,6 +432,24 @@ mod tests {
         assert_eq!(q.capacity(), cap);
         while q.pop().is_some() {}
         assert_eq!(q.capacity(), cap);
+    }
+
+    #[test]
+    #[should_panic(expected = "more than 2^22 events pending")]
+    fn pending_limit_is_asserted() {
+        let mut q = EventQueue::new();
+        q.slab.resize_with(MAX_PENDING, || Slot::Full(()));
+        q.schedule(t(1.0), ());
+    }
+
+    #[test]
+    #[should_panic(expected = "more than 2^42 events scheduled")]
+    fn scheduling_limit_is_asserted() {
+        let mut q = EventQueue::new();
+        q.next_seq = MAX_SCHEDULED - 1;
+        q.schedule(t(1.0), ());
+        q.pop();
+        q.schedule(t(2.0), ());
     }
 
     #[test]

@@ -41,7 +41,7 @@
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 pub mod dist;
 pub mod engine;

@@ -1,14 +1,14 @@
-//! Miri regression tests for the calendar's hole-sifting path.
+//! Miri regression tests for the calendar's event slab.
 //!
-//! The indexed 4-ary heap moves elements with `ptr::read` /
-//! `copy_nonoverlapping` through a `Hole` that leaves one slot logically
-//! empty until drop. The bugs that technique invites — double drops, leaks
-//! of the displaced element, reads of the vacated slot — are exactly what
-//! Miri detects and ordinary tests cannot. These tests drive the queue
-//! through a deterministic churn with a drop-counting payload so Miri's
-//! borrow and initialization tracking covers every sift path (hot
-//! four-child tournament, cold partial last level, sift-up bounce, and
-//! mid-heap holes from interleaved push/pop).
+//! Payloads move into slab slots on `schedule` and out again on `pop`;
+//! vacated slots are chained into an intrusive free list and reused
+//! last-in first-out, while the heap itself sifts only `Copy` keys. The
+//! bugs that layout invites — a payload dropped twice, leaked, or handed
+//! back from the wrong slot — show as drop-count mismatches here and as
+//! leaks under Miri. These tests drive the queue through a deterministic
+//! churn with a drop-counting payload, so every path is covered: slot
+//! reuse at every heap depth, the four-child tournament and the partial
+//! last level, the sift-up bounce, and interleaved push/pop.
 //!
 //! CI runs this weekly under `cargo +nightly miri test` (see
 //! `.github/workflows/miri.yml`); under plain `cargo test` it still
@@ -106,9 +106,9 @@ fn dropping_a_loaded_queue_drops_every_payload_once() {
 }
 
 #[test]
-fn zero_sized_payloads_survive_hole_sifting() {
-    // A ZST payload makes every `ptr` arithmetic degenerate; Miri checks
-    // the provenance rules still hold.
+fn zero_sized_payloads_survive_slot_reuse() {
+    // Zero-sized payloads leave nothing in a slot but its tag; the free
+    // list must still thread through them.
     let mut rng = Xoshiro256pp::seed_from_u64(99);
     let mut q = EventQueue::new();
     for _ in 0..op_count() / 8 {

@@ -3,7 +3,10 @@
 //! counted, CPU time adds up, and all fractions stay in range.
 
 use strip::core::config::{Policy, QueuePolicy, SimConfig, StalenessDef};
+use strip::core::controller::Controller;
 use strip::run_paper_sim;
+use strip::sim::{Engine, SimTime};
+use strip::workload::generators::{PoissonTxns, UpdateStream};
 use strip::RunReport;
 
 fn check_invariants(r: &RunReport, label: &str) {
@@ -127,6 +130,42 @@ fn invariants_hold_under_stress_knobs() {
     assert!(r.cpu.measured_secs == 50.0);
     assert!(r.cpu.utilization() <= 1.0 + 1e-9);
     assert!((0.0..=1.0).contains(&r.fold_low));
+}
+
+#[test]
+fn od_update_cut_off_by_a_deadline_is_accounted_for() {
+    // A heavy install cost makes OD's on-demand apply slices long enough
+    // for transactions to miss their deadlines mid-apply; the update they
+    // took from the queue must land in its own terminal bucket.
+    let mut cfg = base(Policy::OnDemand, 7);
+    cfg.duration = 200.0;
+    cfg.lambda_t = 10.0;
+    cfg.costs.x_update = 2e6;
+    let r = run_paper_sim(&cfg);
+    assert!(r.updates.od_abandoned > 0, "{:?}", r.updates);
+    check_invariants(&r, "od-deadline-mid-apply");
+}
+
+#[test]
+fn a_figure_3_point_never_grows_the_calendar() {
+    // UF at λt = 5 installs nearly every arrival, and each install arms
+    // an MA watchdog: about 2,900 events are pending at the peak.
+    let cfg = SimConfig::builder()
+        .policy(Policy::UpdatesFirst)
+        .lambda_t(5.0)
+        .seed(1)
+        .build()
+        .unwrap();
+    let mut controller = Controller::new(
+        cfg.clone(),
+        UpdateStream::from_config(&cfg),
+        PoissonTxns::from_config(&cfg),
+    );
+    let mut engine = Engine::with_capacity(cfg.calendar_capacity_hint());
+    let reserved = engine.calendar_capacity();
+    controller.prime(&mut engine);
+    engine.run_until(&mut controller, SimTime::from_secs(cfg.duration));
+    assert_eq!(engine.calendar_capacity(), reserved);
 }
 
 #[test]
